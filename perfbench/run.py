@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import multiprocessing
 import os
 import resource
 import shutil
@@ -66,6 +67,23 @@ def _peak_rss_mb() -> float:
     own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     kids = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
     return max(own, kids) / 1024.0
+
+
+def _stop_children() -> None:
+    """Stop and reap every process this run started.
+
+    The pool's workers are joined when each scenario closes its executor,
+    but ``multiprocessing`` starts a resource-tracker process with the first
+    shared-memory segment and leaves it to exit by itself some time after
+    the interpreter does.  Closing its pipe here ends it, and waiting for
+    it means no process of the run outlives the run.
+    """
+    from multiprocessing import resource_tracker
+
+    resource_tracker._resource_tracker._stop()
+    for child in multiprocessing.active_children():
+        child.terminate()
+        child.join()
 
 
 def _run_cell(run_name, config, seed, expected, exact, tally, log) -> list[float]:
@@ -269,7 +287,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"perfbench: unknown workload {args.workload!r}; choose from "
               f"{', '.join(WORKLOADS)}", file=sys.stderr)
         return 2
-    record = run_workload(workload, args.seed, args.seconds, bool(args.trace))
+    try:
+        record = run_workload(workload, args.seed, args.seconds, bool(args.trace))
+    finally:
+        _stop_children()
     stamp = time.strftime("%Y%m%dT%H%M%S", time.gmtime())
     artefact = OUT_DIR / (
         f"{workload.name}-seed{args.seed}-trace{args.trace}-{stamp}-{os.getpid()}.json"
