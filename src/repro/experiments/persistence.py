@@ -111,6 +111,9 @@ def _record_to_dict(record) -> dict:
     phase_times = getattr(record, "phase_times", None)
     if phase_times:
         row["phase_times"] = {k: float(v) for k, v in sorted(phase_times.items())}
+    blas_threads = getattr(record, "blas_threads", None)
+    if blas_threads:
+        row["blas_threads"] = {k: int(v) for k, v in sorted(blas_threads.items())}
     return row
 
 

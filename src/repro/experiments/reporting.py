@@ -134,6 +134,9 @@ def format_execution_report(
     replay counts from rollbacks, and transport volume.  A synchronous run
     reports all-zero lag and rollbacks.
 
+    A process-pool run also reports its BLAS thread budget (the records'
+    ``blas_threads``) on an ``engine:`` line.
+
     ``resilience`` is the executor's recovery ledger
     (:meth:`repro.fl.faults.ResilienceStats.as_dict`); when any counter is
     nonzero — or the records themselves carry retries/shrunken quorums —
@@ -166,6 +169,17 @@ def format_execution_report(
         f"(codec {codec}: {np.mean(raw):.0f} B/round raw, "
         f"{ratio} compression)",
     ]
+    # The process pool's BLAS thread budget (empty on in-process engines
+    # and after a demotion to threads, which hands the parent its own
+    # threads back).
+    budgets = [b for r in records if (b := getattr(r, "blas_threads", None))]
+    if budgets:
+        budget = budgets[-1]
+        lines.append(
+            f"engine: BLAS threads: parent {budget['parent']}, per worker "
+            f"{budget['per_worker']} (nproc {budget['nproc']}, "
+            f"workers {budget['workers']})"
+        )
     # Population-scale telemetry (getattr-defensive: pre-registry record
     # objects lack these fields).  peak_rss_kb is the OS high-water mark,
     # so the last round's value is the run's peak.

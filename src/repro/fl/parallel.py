@@ -95,6 +95,18 @@ Entities that are stateful across rounds in ways the parent must observe
 records its self-check outcomes) declare ``parallel_safe = False`` and are
 always executed in the parent process — correctness never depends on the
 executor choice.
+
+BLAS thread budget
+------------------
+A forked worker inherits a full OpenBLAS thread pool, so ``workers``
+processes would run ``workers x cores`` BLAS threads on ``cores`` cores,
+next to the parent's own.  The pool instead gives each worker a fixed
+lane, ``max(1, cores // workers)`` threads and never more than the
+parent has (:func:`repro.nn.blas.lane_threads`), and holds the parent to
+the same lane while the pool is open; ``close`` and the demotion to
+threads give the parent its own count back.  The budget is derived, not
+configured: it changes speed, not results (the equivalence tests compare
+capped pool runs with the uncapped sequential run bit for bit).
 """
 
 from __future__ import annotations
@@ -139,6 +151,7 @@ from repro.fl.model_store import (
 )
 from repro.fl.registry import ClientRegistry
 from repro.fl.rng import RngStreams
+from repro.nn import blas
 from repro.nn.network import Network
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 
@@ -411,6 +424,13 @@ class RoundExecutor:
         """The model store bound to this executor (None = unbound)."""
         return None
 
+    @property
+    def blas_threads(self) -> dict[str, int]:
+        """The BLAS thread budget the engine holds right now: ``parent``
+        and ``per_worker`` thread counts, ``nproc`` and ``workers``.
+        Empty when it holds none (in-process engines)."""
+        return {}
+
     def submit_validators(
         self,
         pool: "ValidatorPool",
@@ -630,6 +650,18 @@ def _init_worker(
     _W_TRACING = bool(trace_enabled)
     _W_SPANS.clear()
     _W_STORE_STATS[0] = _W_STORE_STATS[1] = 0
+
+
+def _init_pool_worker(blas_threads: int | None, *world) -> None:
+    """Pool-process initializer: the BLAS budget, then the worker world.
+
+    The budget is set here, not in :func:`_init_worker`, because local
+    replay also runs that on the parent's own globals and must leave the
+    parent's thread count alone.
+    """
+    if blas_threads is not None:
+        blas.set_blas_threads(blas_threads)
+    _init_worker(*world)
 
 
 #: ``id()`` of the executor whose world the *parent-process* copy of the
@@ -1098,6 +1130,9 @@ class ProcessPoolRoundExecutor(RoundExecutor):
         #: Deferred-release list: abandoned vote handles whose tasks are
         #: still in flight; their store references drop at the next reap.
         self._abandoned: list[PendingVotes] = []
+        #: Per-worker BLAS threads; the parent holds the same cap while
+        #: the pool is open (``None`` while it holds none).
+        self._blas_lane: int | None = None
 
     # ------------------------------------------------------------------
     # Population binding / pool lifecycle
@@ -1184,6 +1219,24 @@ class ProcessPoolRoundExecutor(RoundExecutor):
         return self._store
 
     @property
+    def blas_threads(self) -> dict[str, int]:
+        if self._blas_lane is None:
+            return {}
+        return {
+            "parent": blas.get_blas_threads(),
+            "per_worker": self._blas_lane,
+            "nproc": blas.available_cores(),
+            "workers": self.workers,
+        }
+
+    def _restore_blas(self) -> None:
+        """Drop the parent's BLAS cap; the last cap dropped restores the
+        count the parent had before any pool capped it."""
+        if self._blas_lane is not None:
+            blas.release_cap(id(self))
+            self._blas_lane = None
+
+    @property
     def transport_bytes(self) -> int:
         total = self._pipe_bytes
         if self._use_store:
@@ -1229,10 +1282,19 @@ class ProcessPoolRoundExecutor(RoundExecutor):
             worker_registry = (
                 self._registry.worker_view() if self._registry is not None else None
             )
+            # Workers and parent share the cores: each gets its lane of
+            # BLAS threads.  A rebuilt pool reuses the lane; one rebuilt
+            # after demotion caps only its workers, not the parent the
+            # thread engine now runs in.
+            lane = self._blas_lane or blas.lane_threads(self.workers)
+            if self._blas_lane is None and self._demoted is None and lane:
+                blas.hold_cap(id(self), lane)
+                self._blas_lane = lane
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers,
-                initializer=_init_worker,
+                initializer=_init_pool_worker,
                 initargs=(
+                    lane,
                     self._clients,
                     self._validators,
                     self._template,
@@ -1247,6 +1309,7 @@ class ProcessPoolRoundExecutor(RoundExecutor):
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
+        self._restore_blas()
         for pending in self._abandoned:  # all tasks done after shutdown
             pending.wait()
         self._abandoned.clear()
@@ -1328,6 +1391,7 @@ class ProcessPoolRoundExecutor(RoundExecutor):
             demoted.resilience = self.resilience
             demoted._counted_drops = self._counted_drops
             self._demoted = demoted
+            self._restore_blas()
             self._note("engine_demotions", round_idx=round_idx, to="thread")
         return self._demoted
 
@@ -1795,6 +1859,10 @@ class ThreadPoolRoundExecutor(RoundExecutor):
     BLAS batched matmuls (which multithread internally), so splitting the
     stack across Python threads would mostly duplicate the Python-side
     training loop instead of adding parallelism.
+
+    The process pool's BLAS thread budget does not apply here: every pool
+    thread calls into the parent's one OpenBLAS, whose thread count this
+    engine leaves as it finds it (:attr:`blas_threads` is empty).
     """
 
     def __init__(self, workers: int, cohort_size: int | None = None) -> None:
@@ -2184,6 +2252,10 @@ class PipelinedRoundExecutor(RoundExecutor):
     @property
     def store(self) -> ModelStore | None:
         return self.inner.store
+
+    @property
+    def blas_threads(self) -> dict[str, int]:
+        return self.inner.blas_threads
 
     def run_clients(self, *args, **kwargs) -> list[np.ndarray]:
         return self.inner.run_clients(*args, **kwargs)

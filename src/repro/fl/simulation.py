@@ -176,6 +176,12 @@ class RoundRecord:
     #: fault-injected runs still compare clean against fault-free ones on
     #: the committed trajectory.
     quorum_size: int = field(default=0, compare=False)
+    #: The BLAS thread budget the executor held when this record was
+    #: built (:attr:`~repro.fl.parallel.RoundExecutor.blas_threads`:
+    #: ``parent``/``per_worker`` threads, ``nproc``, ``workers``); empty
+    #: for in-process engines.  Excluded from equality: thread counts
+    #: change how fast a round runs, never what it commits.
+    blas_threads: dict[str, int] = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
         if self.accepted_at_round < 0:
@@ -493,6 +499,7 @@ class FederatedSimulation:
             materialized_clients=resident_clients,
             retries=self._resilience_delta(),
             quorum_size=len(decision.client_votes),
+            blas_threads=dict(getattr(self.executor, "blas_threads", {})),
         )
         if tracer.enabled:
             record.phase_times.update(
@@ -800,6 +807,7 @@ class FederatedSimulation:
             materialized_clients=spec.materialized_clients,
             retries=self._resilience_delta(),
             quorum_size=len(decision.client_votes),
+            blas_threads=dict(getattr(self.executor, "blas_threads", {})),
         )
         if tracer.enabled:
             record.phase_times.update(spec.phase_times)
